@@ -41,7 +41,7 @@ class SpecResult:
     payload documented in ``docs/recovery.md``: per-region protected
     outcome counts for one (policy, detector) cell.  ``patterns`` uses the canonical wire image —
     region name to *sorted* pattern-mnemonic list — identical to what
-    the ``ANALYZE`` protocol op ships (see ``docs/protocol.md``).
+    an analysis plan's outcome string carries (see ``docs/protocol.md``).
     ``profile`` is the payload documented in ``docs/profiles.md``:
     per-region outcome distributions plus the composed whole-program
     estimate; its ``sources`` map (where each region came from —

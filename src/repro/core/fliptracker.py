@@ -460,16 +460,18 @@ class FlipTracker:
         uniform draws — pattern detection needs low-bit coverage that
         uniform sampling only reaches at Leveugle-scale campaign sizes.
 
-        The traced analysis runs are dispatched through the engine's
-        configured backend exactly like campaigns: the default local
-        pool fans out across fork children inheriting the cached
-        fault-free trace copy-on-write (needs ``self.workers > 1``),
-        while ``backend="async"``/``"socket"`` ship the analyses to
-        protocol workers or remote shard servers as ``ANALYZE`` frames
-        (see ``docs/protocol.md``) — results are byte-identical either
-        way.  Regions whose site populations are empty (a straight
-        region with no internal defs, say) are skipped rather than
-        failing the whole sweep.
+        Each traced run is an :class:`~repro.patterns.plan.AnalysisPlan`
+        on the engine's one ``run`` path, exactly like a campaign plan:
+        the default local pool fans out across fork children inheriting
+        the cached fault-free trace copy-on-write (needs
+        ``self.workers > 1``), while ``backend="async"``/``"socket"``
+        ship the plans to protocol workers or remote shard servers in
+        ``run`` frames (see ``docs/protocol.md``) — results are
+        byte-identical either way.  Per-run pattern tables are cached
+        like any outcome, so a repeated sweep (or one resumed from a
+        ``cache_dir`` spill) performs no traced runs.  Regions whose
+        site populations are empty (a straight region with no internal
+        defs, say) are skipped rather than failing the whole sweep.
 
         One-spec wrapper over :mod:`repro.api` — an
         :class:`~repro.api.AnalysisSpec` in an experiment produces the

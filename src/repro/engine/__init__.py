@@ -19,9 +19,10 @@ campaigns (Figs. 5/6, Tables III/IV) and traced pattern analyses
   same shard loop runs on the in-host process pool (``local``), on
   asyncio-coordinated forked workers (``async``) or on remote TCP
   shard servers (``socket``) — all feeding the one cache and all
-  byte-identical to ``workers=1``, for untraced campaigns (``RUN``)
-  and traced pattern analyses (``ANALYZE``) alike; the wire protocol
-  is specified in ``docs/protocol.md``.
+  byte-identical to ``workers=1``, for untraced campaigns, protected
+  runs and traced pattern analyses alike (one ``run`` operation
+  carries every plan kind); the wire protocol is specified in
+  ``docs/protocol.md``.
 
 Determinism contract: identical plans yield identical results
 regardless of worker count, shard size, or arrival order; the

@@ -1,11 +1,11 @@
 """Pluggable shard-execution backends for the :class:`ExecutionEngine`.
 
-The engine's ``run_plans`` / ``analyze_plans`` loops decide *what* to
-execute (cache filtering, shard boundaries, plan-order assembly); a
-backend decides *where* (see :mod:`.base` for the contract).  Every
-backend implements both shard operations — ``RUN`` (untraced campaign
-shards) and ``ANALYZE`` (traced pattern analyses, shipped as
-sorted-list pattern tables).  Three substrates ship:
+The engine's demux loop decides *what* to execute (cache filtering,
+shard boundaries, plan-order assembly); a backend decides *where* (see
+:mod:`.base` for the contract).  A backend implements one shard
+operation, ``run_shards``, which carries every plan kind — untraced
+campaign plans, protected recovery plans and traced pattern analyses
+alike, each answered by one outcome string.  Three substrates ship:
 
 ``local``  :class:`LocalPoolBackend`
     The seed engine's persistent fork/spawn process pool,
@@ -25,7 +25,7 @@ sorted-list pattern tables).  Three substrates ship:
 
 All three feed the same content-addressed
 :class:`~repro.engine.cache.PlanCache` through the engine and are
-byte-identical to ``workers=1`` for campaigns *and* analyses
+byte-identical to ``workers=1`` for every plan kind
 (``tests/test_determinism.py``).  The wire protocol the async and
 socket substrates share is specified normatively in
 ``docs/protocol.md`` (:mod:`.protocol` implements it).

@@ -9,15 +9,13 @@ loop:
 * at most ``max_inflight`` shards are admitted concurrently (bounded
   in-flight), each dispatched to the next idle worker;
 * completions arrive **out of order** and are pushed onto a thread-safe
-  queue; the synchronous :meth:`run_shards` / :meth:`analyze_shards`
-  generators reassemble them into shard order
-  (:func:`~repro.engine.backends.base.reassemble`), so the engine
-  checkpoints shards in order exactly as with the local backend.
+  queue; the synchronous :meth:`run_shards` generator reassembles them
+  into shard order (:func:`~repro.engine.backends.base.reassemble`),
+  so the engine checkpoints shards in order exactly as with the local
+  backend.
 
-Both protocol operations are served: ``run`` (untraced campaign
-shards) and ``analyze`` (traced pattern analyses — the worker holds
-the tracker inherited at fork, or lazily builds its own on fork-less
-spawn paths, and ships pattern tables back as sorted lists).
+Every plan kind rides ``run`` frames; recovery and analysis plans use
+the tracker the worker inherited at fork, or one it builds lazily.
 
 The event loop runs on a helper thread per dispatch call so the
 engine's synchronous shard loop (cache writes, progress events) stays
@@ -49,9 +47,9 @@ def _worker_main(sock: socket.socket, program, tracker=None) -> None:
     """Forked child: serve shard requests over the socketpair end."""
 
     def get_tracker():
-        # shared by ANALYZE and recovery-carrying RUN frames: reuse the
-        # tracker inherited at fork, or lazily build one private to
-        # this worker (amortized over the fleet's lifetime)
+        # for recovery and analysis plans: reuse the tracker inherited
+        # at fork, or lazily build one private to this worker
+        # (amortized over the fleet's lifetime)
         nonlocal tracker
         if tracker is None:
             from repro.core.fliptracker import FlipTracker
@@ -67,11 +65,6 @@ def _worker_main(sock: socket.socket, program, tracker=None) -> None:
             if op == protocol.OP_HELLO:
                 protocol.send_msg(sock, {"op": protocol.OP_HELLO,
                                          "ok": True, "fp": msg.get("fp")})
-                continue
-            if op == protocol.OP_ANALYZE:
-                protocol.send_msg(
-                    sock,
-                    protocol.execute_analyze_request(get_tracker(), msg))
                 continue
             protocol.send_msg(
                 sock, protocol.execute_request(program, msg,
@@ -114,7 +107,7 @@ class AsyncBackend(Backend):
             return False
         if self.engine._tracker is not None:
             # materialize the golden trace &c. *before* forking so
-            # analyze requests in the children reuse it copy-on-write
+            # traced plans in the children reuse it copy-on-write
             self.engine._warm_tracker()
         ctx = mp.get_context("fork")
         for _ in range(max(1, self.engine.workers)):
@@ -152,48 +145,15 @@ class AsyncBackend(Backend):
     def run_shards(self, shards: Sequence[Sequence[FaultPlan]],
                    max_instr: Optional[int]
                    ) -> Iterator[tuple[int, list[str]]]:
-        yield from self._dispatch_shards(
-            shards, max_instr, protocol.run_request, self._parse_result,
-            self.run_sequential)
-
-    def analyze_shards(self, shards: Sequence[Sequence[FaultPlan]],
-                       max_instr: Optional[int]
-                       ) -> Iterator[tuple[int, list]]:
-        yield from self._dispatch_shards(
-            shards, max_instr, protocol.analyze_request,
-            self._parse_analyzed, self.analyze_sequential)
-
-    @staticmethod
-    def _parse_result(reply: dict, shard_index: int, worker_index: int,
-                      n_plans: int) -> list[str]:
-        if reply.get("op") != protocol.OP_RESULT:
-            raise EngineError(
-                f"shard {shard_index}: worker {worker_index} "
-                f"replied {reply.get('error', reply)!r}")
-        return protocol.decode_run_values(reply, n_plans)
-
-    @staticmethod
-    def _parse_analyzed(reply: dict, shard_index: int, worker_index: int,
-                        n_plans: int) -> list:
-        if reply.get("op") != protocol.OP_ANALYZED:
-            raise EngineError(
-                f"shard {shard_index}: worker {worker_index} "
-                f"replied {reply.get('error', reply)!r}")
-        return protocol.decode_analysis_results(reply, n_plans)
-
-    def _dispatch_shards(self, shards, max_instr, request_fn, parse_fn,
-                         sequential_fn) -> Iterator[tuple[int, list]]:
-        """Shared fan-out: one op's shards through the worker fleet."""
         if not shards:
             return
         if not self._ensure_workers():
             for index, plans in enumerate(shards):
-                yield index, sequential_fn(plans, max_instr)
+                yield index, self.run_sequential(plans, max_instr)
             return
         results: queue.Queue = queue.Queue()
         driver = threading.Thread(
-            target=self._drive,
-            args=(shards, max_instr, results, request_fn, parse_fn),
+            target=self._drive, args=(shards, max_instr, results),
             daemon=True)
         driver.start()
         yield from reassemble(self._completions(results, len(shards)),
@@ -213,14 +173,12 @@ class AsyncBackend(Backend):
             yield item
             seen += 1
 
-    def _drive(self, shards, max_instr, results: queue.Queue,
-               request_fn, parse_fn) -> None:
+    def _drive(self, shards, max_instr, results: queue.Queue) -> None:
         """Helper-thread body: run the event loop to completion."""
         loop = asyncio.new_event_loop()
         try:
             loop.run_until_complete(
-                self._run_async(loop, shards, max_instr, results,
-                                request_fn, parse_fn))
+                self._run_async(loop, shards, max_instr, results))
         except BaseException as exc:  # surface in the caller thread
             results.put(exc if isinstance(exc, EngineError) else
                         EngineError(f"async backend failed: "
@@ -230,8 +188,7 @@ class AsyncBackend(Backend):
             results.put(_SENTINEL)
 
     async def _run_async(self, loop, shards, max_instr,
-                         results: queue.Queue, request_fn,
-                         parse_fn) -> None:
+                         results: queue.Queue) -> None:
         idle: asyncio.Queue = asyncio.Queue()
         for index, sock in enumerate(self._socks):
             idle.put_nowait((index, sock))
@@ -244,13 +201,18 @@ class AsyncBackend(Backend):
                 try:
                     await protocol.async_send(
                         loop, sock,
-                        request_fn(shard_index, plans, max_instr))
+                        protocol.run_request(shard_index, plans,
+                                             max_instr))
                     reply = await protocol.async_recv(loop, sock)
                 finally:
                     idle.put_nowait((worker_index, sock))
+                if reply.get("op") != protocol.OP_RESULT:
+                    raise EngineError(
+                        f"shard {shard_index}: worker {worker_index} "
+                        f"replied {reply.get('error', reply)!r}")
                 results.put((shard_index,
-                             parse_fn(reply, shard_index, worker_index,
-                                      len(plans))))
+                             protocol.decode_run_values(reply,
+                                                        len(plans))))
 
         try:
             await asyncio.gather(*(run_one(i, plans)

@@ -1,29 +1,27 @@
-"""The backend seam: how a shard of fault plans gets executed.
+"""The backend seam: how a shard of plans gets executed.
 
-:meth:`ExecutionEngine.run_plans` and
-:meth:`ExecutionEngine.analyze_plans` own *what* runs (cache lookups,
-shard boundaries, result assembly, progress, checkpointing) and a
+:class:`ExecutionEngine` owns *what* runs (cache lookups, shard
+boundaries, result assembly, progress, checkpointing) and a
 :class:`Backend` owns *where* it runs.  The contract is deliberately
-tiny so that scaling work — remote shards, async fan-out, batching —
-is a new backend, not an engine rewrite:
+tiny — one method, :meth:`Backend.run_shards` — so that scaling work
+(remote shards, async fan-out, batching) is a new backend, not an
+engine rewrite:
 
 * the engine hands over the pending shards (plan order, already
-  deduplicated and — for campaigns — cache-filtered);
-* the backend yields ``(shard_index, payload)`` pairs **in shard
+  deduplicated and cache-filtered);
+* the backend yields ``(shard_index, values)`` pairs **in shard
   order**, whatever order the underlying substrate completed them in;
-* for :meth:`Backend.run_shards` the payload is a list of
-  manifestation strings, one per plan, in plan order;
-* for :meth:`Backend.analyze_shards` (traced pattern analyses) the
-  payload is a list of ``(manifestation, patterns)`` pairs in plan
-  order, where ``patterns`` maps region name to a **sorted list** of
-  pattern mnemonics — the canonical wire image, byte-stable across
-  substrates.
+* ``values`` holds one outcome string per plan, in plan order, as
+  :func:`~repro.faults.campaign.execute_plan` returns it: a
+  manifestation for a plain fault plan, an encoded recovery outcome
+  for a recovery plan, the sorted-list pattern-table image for a
+  traced :class:`~repro.patterns.plan.AnalysisPlan`.
 
 Because the engine alone touches the :class:`~repro.engine.cache.
 PlanCache` and assembles results by plan index, any backend that
 honors this contract automatically inherits the determinism contract:
-``workers=1`` and every backend are byte-identical — for campaigns
-*and* for traced analyses.
+``workers=1`` and every backend are byte-identical — for campaigns,
+protected runs and traced analyses alike.
 """
 
 from __future__ import annotations
@@ -31,13 +29,6 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.vm.fault import FaultPlan
-
-#: manifestation values for one shard, in plan order
-ShardValues = "list[str]"
-
-#: traced results for one shard, in plan order:
-#: ``[(manifestation, {region: [pattern, ...sorted]}), ...]``
-ShardAnalyses = "list[tuple[str, dict[str, list[str]]]]"
 
 
 class Backend:
@@ -73,28 +64,15 @@ class Backend:
         """
         raise NotImplementedError
 
-    def analyze_shards(self, shards: Sequence[Sequence[FaultPlan]],
-                       max_instr: Optional[int]
-                       ) -> Iterator[tuple[int, list]]:
-        """Traced analyses for all shards -> ``(index, pairs)`` in order.
-
-        ``pairs`` is one ``(manifestation, patterns)`` tuple per plan,
-        in plan order, with ``patterns`` in the canonical sorted-list
-        image (see :func:`~repro.engine.backends.protocol.
-        encode_analysis`).  Same ordering contract as
-        :meth:`run_shards`; the engine caches each plan's manifestation
-        as a by-product so a later untraced campaign is free.
-        """
-        raise NotImplementedError
-
     def run_sequential(self, plans: Sequence[FaultPlan],
                        max_instr: Optional[int]) -> list[str]:
         """In-process reference execution (shared fallback path).
 
-        Recovery plans resolve the engine's analysis tracker — the
-        session needs the golden-trace recovery context, which is a
-        pure function of the program, so this path stays byte-identical
-        to every distributed substrate.
+        Recovery and analysis plans resolve the engine's tracker — a
+        protected session needs the golden-trace recovery context, a
+        traced analysis the golden trace and region model, all pure
+        functions of the program — so this path stays byte-identical to
+        every distributed substrate.
         """
         from repro.faults.campaign import execute_plan
         tier = self.engine.exec_tier
@@ -104,23 +82,6 @@ class Backend:
                              ._tracker_for_analysis,
                              warm_start=self.engine.warm_start)
                 for plan in plans]
-
-    def analyze_sequential(self, plans: Sequence[FaultPlan],
-                           max_instr: Optional[int]) -> list:
-        """In-process reference traced analysis (shared fallback path).
-
-        Uses the engine's tracker (building one if the engine was
-        created standalone); the traced run's budget comes from the
-        tracker itself, exactly as on a remote worker.
-        """
-        from repro.engine.backends import protocol
-        tracker = self.engine._tracker_for_analysis()
-        out = []
-        for plan in plans:
-            encoded = protocol.encode_analysis(
-                tracker.analyze_injection(plan))
-            out.append((encoded["m"], encoded["patterns"]))
-        return out
 
 
 def reassemble(completions, n_shards: int

@@ -5,10 +5,9 @@ Behavior-preserving extraction of the pool logic that used to live in
 ``multiprocessing.Pool`` per engine (fork children inherit the built
 program — and, when a tracker is bound, its warmed golden trace —
 copy-on-write), small shards run sequentially in-process
-(``min_parallel``), and results are reassembled in task order.  Both
-shard operations run here: untraced campaign shards
-(:meth:`~LocalPoolBackend.run_shards`) and traced pattern-analysis
-shards (:meth:`~LocalPoolBackend.analyze_shards`), sharing one pool.
+(``min_parallel``), and results are reassembled in task order.  Every
+plan kind — untraced, protected and traced — runs through the same
+:meth:`~LocalPoolBackend.run_shards` and pool task.
 
 New here: **worker-death detection**.  ``multiprocessing.Pool`` never
 fails a task whose worker vanished (it silently respawns the worker
@@ -115,40 +114,6 @@ class LocalPoolBackend(Backend):
             except EngineError as exc:
                 self.failed_shard = index
                 raise EngineError(f"shard {index} failed: {exc}") from exc
-
-    def analyze_shards(self, shards: Sequence[Sequence[FaultPlan]],
-                       max_instr: Optional[int]
-                       ) -> Iterator[tuple[int, list]]:
-        for index, plans in enumerate(shards):
-            try:
-                yield index, self._execute_analysis(plans, max_instr)
-            except EngineError as exc:
-                self.failed_shard = index
-                raise EngineError(f"shard {index} failed: {exc}") from exc
-
-    def _execute_analysis(self, plans: Sequence[FaultPlan],
-                          max_instr: Optional[int]) -> list:
-        """One traced-analysis shard, pool-parallel when worthwhile.
-
-        Fork children inherit the tracker's warmed golden trace
-        copy-on-write (``pool_for`` warms it before forking), so a
-        traced analysis in a worker re-traces nothing.  Same
-        worker-death detection as the campaign path.
-        """
-        pool = self.pool_for(len(plans))
-        if pool is None:
-            return self.analyze_sequential(plans, max_instr)
-        parts: dict[int, tuple] = {}
-        it = pool.imap_unordered(worker_mod.analyze_task,
-                                 list(enumerate(plans)))
-        while len(parts) < len(plans):
-            try:
-                i, value, patterns = it.next(timeout=_POLL_S)
-            except mp.TimeoutError:
-                self._check_workers_alive()
-                continue
-            parts[i] = (value, patterns)
-        return [parts[i] for i in range(len(plans))]
 
     def _execute(self, plans: Sequence[FaultPlan],
                  max_instr: Optional[int]) -> list[str]:

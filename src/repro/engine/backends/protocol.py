@@ -23,21 +23,11 @@ object.  The conversation between a shard client and a shard worker:
     ``{"op": "run", "shard": i, "max_instr": n|null, "plans": [...]}``
     with plans in the canonical :func:`~repro.engine.keys.encode_plan`
     image (v4: a plan may carry a ``recovery`` sub-object selecting a
-    protected run); the worker answers ``{"op": "result", "shard": i,
-    "values": [...]}`` (outcome strings — manifestation values, or
-    encoded recovery outcomes — in plan order) or ``{"op": "error",
-    "code": ..., "error": ...}``.
-
-``analyze``
-    ``{"op": "analyze", "shard": i, "max_instr": n|null,
-    "plans": [...]}`` requests *traced* pattern analyses; the worker
-    answers ``{"op": "analyzed", "shard": i, "results": [{"m": ...,
-    "patterns": {region: [pattern, ...]}}, ...]}`` in plan order.
-    Pattern sets travel as **sorted lists** so the frame bytes are a
-    pure function of the analysis outcome (byte-stable framing).
-    ``max_instr`` is carried for the client's by-product manifestation
-    caching; the traced run itself uses the worker's own faulty-run
-    budget, which the fingerprint gate guarantees is identical.
+    protected run; v5: the marker ``"analysis": true`` selecting a
+    traced pattern analysis); the worker answers ``{"op": "result",
+    "shard": i, "values": [...]}`` (outcome strings — manifestation
+    values, encoded recovery outcomes or pattern-table images — in plan
+    order) or ``{"op": "error", "code": ..., "error": ...}``.
 
 ``bye``
     Polite shutdown; either side may also just close the socket
@@ -72,15 +62,16 @@ _HEADER = struct.Struct(">I")
 
 #: Wire-protocol revision, independent of :data:`KEY_VERSION` (which
 #: governs the cache-key encoding).  Bumped whenever the frame
-#: vocabulary changes; v1 was the PR-2 RUN-only protocol, v2 added the
+#: vocabulary changes; v1 was the RUN-only protocol, v2 added the
 #: ANALYZE op, the ``pv`` handshake field and error codes, v3 added
 #: the service ops (registry membership, host resolution and the
 #: persistent job queue), v4 extended ``run`` plans with the optional
-#: ``recovery`` sub-object (protected runs, :mod:`repro.recovery`) —
-#: a v3 peer would silently execute the bare fault instead, so the
-#: version gate is load-bearing.  The handshake and
-#: ``docs/protocol.md`` both reference this constant.
-PROTOCOL_VERSION = 4
+#: ``recovery`` sub-object (protected runs, :mod:`repro.recovery`),
+#: v5 removed ANALYZE: traced analyses ride ``run`` plans carrying
+#: the ``analysis`` marker.  An older peer would silently execute the
+#: bare fault instead, so the version gate is load-bearing.  The
+#: handshake and ``docs/protocol.md`` both reference this constant.
+PROTOCOL_VERSION = 5
 
 #: refuse absurd frames instead of allocating gigabytes on a bad peer
 MAX_FRAME = 64 * 1024 * 1024
@@ -88,9 +79,7 @@ MAX_FRAME = 64 * 1024 * 1024
 # ------------------------------------------------------------- op codes
 OP_HELLO = "hello"
 OP_RUN = "run"
-OP_ANALYZE = "analyze"
 OP_RESULT = "result"
-OP_ANALYZED = "analyzed"
 OP_ERROR = "error"
 OP_BYE = "bye"
 
@@ -114,10 +103,10 @@ OP_EVENT = "event"
 OP_FETCHED = "fetched"
 
 #: every op either side may put in a frame (docs drift-check anchor)
-OPS = (OP_HELLO, OP_RUN, OP_ANALYZE, OP_RESULT, OP_ANALYZED, OP_ERROR,
-       OP_BYE, OP_REGISTER, OP_REGISTERED, OP_HEARTBEAT, OP_LEAVE,
-       OP_ACK, OP_RESOLVE, OP_HOSTS, OP_SUBMIT, OP_JOBS, OP_WATCH,
-       OP_FETCH, OP_JOB, OP_JOBLIST, OP_EVENT, OP_FETCHED)
+OPS = (OP_HELLO, OP_RUN, OP_RESULT, OP_ERROR, OP_BYE, OP_REGISTER,
+       OP_REGISTERED, OP_HEARTBEAT, OP_LEAVE, OP_ACK, OP_RESOLVE,
+       OP_HOSTS, OP_SUBMIT, OP_JOBS, OP_WATCH, OP_FETCH, OP_JOB,
+       OP_JOBLIST, OP_EVENT, OP_FETCHED)
 
 # ---------------------------------------------------------- error codes
 ERR_PROTOCOL_VERSION = "protocol-version-mismatch"
@@ -144,11 +133,33 @@ class ProtocolError(RuntimeError):
 
 
 # ---------------------------------------------------------------- framing
-def send_msg(sock: socket.socket, obj: dict) -> None:
-    """Write one frame (blocking socket)."""
+def _encode_frame(obj: dict) -> bytes:
+    """Header + canonical body (sorted keys, no whitespace)."""
     body = json.dumps(obj, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    sock.sendall(_HEADER.pack(len(body)) + body)
+    return _HEADER.pack(len(body)) + body
+
+
+def _frame_length(header: bytes) -> int:
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME")
+    return length
+
+
+def _decode_body(body: bytes) -> dict:
+    try:
+        msg = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"undecodable frame: {exc}") from exc
+    if not isinstance(msg, dict):
+        raise ProtocolError(f"frame body is not a JSON object: {msg!r}")
+    return msg
+
+
+def send_msg(sock: socket.socket, obj: dict) -> None:
+    """Write one frame (blocking socket)."""
+    sock.sendall(_encode_frame(obj))
 
 
 def _recv_exact(sock: socket.socket, n: int,
@@ -172,22 +183,13 @@ def recv_msg(sock: socket.socket) -> Optional[dict]:
     header = _recv_exact(sock, _HEADER.size, eof_ok=True)
     if header is None:
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME")
-    body = _recv_exact(sock, length)
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from exc
+    return _decode_body(_recv_exact(sock, _frame_length(header)))
 
 
 # ------------------------------------------------------------ asyncio side
 async def async_send(loop, sock: socket.socket, obj: dict) -> None:
     """Frame write over a non-blocking socket via ``loop.sock_sendall``."""
-    body = json.dumps(obj, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    await loop.sock_sendall(sock, _HEADER.pack(len(body)) + body)
+    await loop.sock_sendall(sock, _encode_frame(obj))
 
 
 async def _async_recv_exact(loop, sock: socket.socket, n: int) -> bytes:
@@ -204,12 +206,11 @@ async def _async_recv_exact(loop, sock: socket.socket, n: int) -> bytes:
 
 
 async def async_recv(loop, sock: socket.socket) -> dict:
+    """Frame read over a non-blocking socket; same errors as
+    :func:`recv_msg` (EOF anywhere is :class:`ProtocolError` here)."""
     header = await _async_recv_exact(loop, sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME")
-    body = await _async_recv_exact(loop, sock, length)
-    return json.loads(body.decode("utf-8"))
+    body = await _async_recv_exact(loop, sock, _frame_length(header))
+    return _decode_body(body)
 
 
 # ------------------------------------------------------------- handshakes
@@ -279,9 +280,10 @@ def execute_request(program, msg: dict, tracker_factory=None) -> dict:
     """Worker-side body of a ``run`` frame -> ``result`` frame.
 
     ``tracker_factory`` lazily resolves the worker's tracker for
-    recovery plans (v4 ``recovery`` sub-object); a worker without one
-    rejects such plans in-band with :data:`ERR_EXEC` rather than
-    executing the bare fault and poisoning the cache.
+    recovery plans (v4 ``recovery`` sub-object) and analysis plans (v5
+    ``analysis`` marker); a worker without one rejects such plans
+    in-band with :data:`ERR_EXEC` rather than executing the bare fault
+    and poisoning the cache.
     """
     from repro.engine.keys import decode_plan
     from repro.faults.campaign import execute_plan
@@ -295,71 +297,6 @@ def execute_request(program, msg: dict, tracker_factory=None) -> dict:
                 "shard": msg.get("shard"),
                 "error": f"{type(exc).__name__}: {exc}"}
     return {"op": OP_RESULT, "shard": msg["shard"], "values": values}
-
-
-# --------------------------------------------------------- analyze frames
-def analyze_request(shard: int, plans, max_instr: Optional[int]) -> dict:
-    """Build an ``analyze`` frame (traced patterns-by-region shard)."""
-    from repro.engine.keys import encode_plan
-    return {"op": OP_ANALYZE, "shard": shard, "max_instr": max_instr,
-            "plans": [encode_plan(p) for p in plans]}
-
-
-def encode_analysis(analysis) -> dict:
-    """Wire image of one traced analysis: manifestation + pattern table.
-
-    Pattern sets become **sorted lists** so the serialized frame is
-    byte-stable — two workers analyzing the same plan produce identical
-    bytes, which the parity suite compares across backends.
-    """
-    return {"m": analysis.manifestation.value,
-            "patterns": {region: sorted(pats) for region, pats
-                         in analysis.patterns_by_region().items()}}
-
-
-def execute_analyze_request(tracker, msg: dict) -> dict:
-    """Worker-side body of an ``analyze`` frame -> ``analyzed`` frame.
-
-    ``tracker`` is the worker's :class:`~repro.core.FlipTracker` for
-    the (fingerprint-verified) program; its own golden trace supplies
-    the faulty-run budget, so ``max_instr`` in the request is not used
-    here — it only keys the client's by-product manifestation caching.
-    """
-    from repro.engine.keys import decode_plan
-    try:
-        results = [encode_analysis(tracker.analyze_injection(decode_plan(p)))
-                   for p in msg["plans"]]
-    except Exception as exc:  # surface worker-side failures in-band
-        return {"op": OP_ERROR, "code": ERR_EXEC,
-                "shard": msg.get("shard"),
-                "error": f"{type(exc).__name__}: {exc}"}
-    return {"op": OP_ANALYZED, "shard": msg["shard"], "results": results}
-
-
-def decode_analysis_results(reply: dict, n_plans: int
-                            ) -> list[tuple[str, dict]]:
-    """Validate an ``analyzed`` reply -> ``[(manifestation, patterns)]``.
-
-    Raises :class:`ProtocolError` on any malformed reply — wrong
-    count, non-object entries, missing/ill-typed ``m`` or ``patterns``
-    — so every client (async worker, socket connection) rejects it
-    identically and its transport-failure handling (retry/failover)
-    applies instead of an uncaught ``KeyError`` killing the client.
-    """
-    results = reply.get("results")
-    if not isinstance(results, list) or len(results) != n_plans:
-        raise ProtocolError(
-            f"analyzed reply carries "
-            f"{len(results) if isinstance(results, list) else 'no'} "
-            f"results for {n_plans} plans")
-    decoded = []
-    for entry in results:
-        if not isinstance(entry, dict) or \
-                not isinstance(entry.get("m"), str) or \
-                not isinstance(entry.get("patterns"), dict):
-            raise ProtocolError(f"malformed analyzed entry: {entry!r}")
-        decoded.append((entry["m"], entry["patterns"]))
-    return decoded
 
 
 # ---------------------------------------------------------- service frames
@@ -396,10 +333,13 @@ def check_service_versions(msg: dict) -> Optional[dict]:
 
 
 def decode_run_values(reply: dict, n_plans: int) -> list:
-    """Validate a ``result`` reply -> manifestation values, plan order.
+    """Validate a ``result`` reply -> outcome strings, plan order.
 
-    Same :class:`ProtocolError` contract as
-    :func:`decode_analysis_results`.
+    Raises :class:`ProtocolError` on any malformed reply — wrong count
+    or a non-string entry — so every client (async worker, socket
+    connection) rejects it identically and its transport-failure
+    handling (retry/failover) applies instead of a decode error
+    escaping after the dispatch.
     """
     values = reply.get("values")
     if not isinstance(values, list) or len(values) != n_plans:
@@ -407,4 +347,7 @@ def decode_run_values(reply: dict, n_plans: int) -> list:
             f"result reply carries "
             f"{len(values) if isinstance(values, list) else 'no'} "
             f"values for {n_plans} plans")
+    for value in values:
+        if not isinstance(value, str):
+            raise ProtocolError(f"malformed result value: {value!r}")
     return values

@@ -39,10 +39,10 @@ Addresses come from either of two sources:
   retry, not the campaign.  With no live host at all the backend
   falls back to local execution exactly like an empty static list.
 
-Untraced campaign shards (``run`` frames) and traced pattern analyses
-(``analyze`` frames) travel the same machinery — handshake, retry,
-failover and fallback are identical for both, so a `region_patterns`
-sweep scales across shard servers exactly like a campaign.
+Every plan kind — untraced, protected and traced — travels in ``run``
+frames through the same handshake, retry, failover and fallback, so a
+``region_patterns`` sweep scales across shard servers exactly like a
+campaign.
 
 Completions arrive out of order across connections and are reassembled
 into shard order before the engine sees them, preserving byte-parity
@@ -56,7 +56,7 @@ import queue
 import socket
 import threading
 import warnings
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.engine.backends import protocol
 from repro.engine.backends.base import Backend, reassemble
@@ -108,30 +108,17 @@ class _Connection:
             self.sock.close()
             raise
 
-    def _round_trip(self, index: int, request: dict,
-                    expect_op: str) -> dict:
-        protocol.send_msg(self.sock, request)
+    def run_shard(self, index: int, plans: Sequence[FaultPlan],
+                  max_instr: Optional[int]) -> list[str]:
+        protocol.send_msg(self.sock,
+                          protocol.run_request(index, plans, max_instr))
         reply = protocol.recv_msg(self.sock)
         if reply is None:
             raise protocol.ProtocolError("server closed mid-shard")
-        if reply.get("op") != expect_op:
+        if reply.get("op") != protocol.OP_RESULT:
             raise EngineError(f"shard {index}: server replied "
                               f"{reply.get('error', reply)!r}")
-        return reply
-
-    def run_shard(self, index: int, plans: Sequence[FaultPlan],
-                  max_instr: Optional[int]) -> list[str]:
-        reply = self._round_trip(
-            index, protocol.run_request(index, plans, max_instr),
-            protocol.OP_RESULT)
         return protocol.decode_run_values(reply, len(plans))
-
-    def analyze_shard(self, index: int, plans: Sequence[FaultPlan],
-                      max_instr: Optional[int]) -> list:
-        reply = self._round_trip(
-            index, protocol.analyze_request(index, plans, max_instr),
-            protocol.OP_ANALYZED)
-        return protocol.decode_analysis_results(reply, len(plans))
 
     def close(self) -> None:
         try:
@@ -304,29 +291,11 @@ class SocketBackend(Backend):
     def run_shards(self, shards: Sequence[Sequence[FaultPlan]],
                    max_instr: Optional[int]
                    ) -> Iterator[tuple[int, list[str]]]:
-        yield from self._dispatch_shards(shards, max_instr,
-                                         _Connection.run_shard,
-                                         "run_shards")
-
-    def analyze_shards(self, shards: Sequence[Sequence[FaultPlan]],
-                       max_instr: Optional[int]
-                       ) -> Iterator[tuple[int, list]]:
-        yield from self._dispatch_shards(shards, max_instr,
-                                         _Connection.analyze_shard,
-                                         "analyze_shards")
-
-    def _dispatch_shards(self, shards, max_instr,
-                         runner: Callable, fallback_op: str
-                         ) -> Iterator[tuple[int, list]]:
-        """Shared fan-out for both ops; ``runner`` is the unbound
-        :class:`_Connection` method that round-trips one shard and
-        ``fallback_op`` names the equivalent local-backend method."""
         if not shards:
             return
         self._ensure_started(len(shards))
         if self._fallback_backend is not None:
-            yield from getattr(self._fallback_backend, fallback_op)(
-                shards, max_instr)
+            yield from self._fallback_backend.run_shards(shards, max_instr)
             return
         pending: queue.Queue = queue.Queue()
         for index, plans in enumerate(shards):
@@ -337,7 +306,7 @@ class SocketBackend(Backend):
             connections = list(self._connections)
         threads = [threading.Thread(
             target=self._serve_connection,
-            args=(conn, pending, results, stop, max_instr, runner),
+            args=(conn, pending, results, stop, max_instr),
             daemon=True)
             for conn in connections]
         for thread in threads:
@@ -368,8 +337,7 @@ class SocketBackend(Backend):
 
     def _serve_connection(self, conn: _Connection, pending: queue.Queue,
                           results: queue.Queue, stop: threading.Event,
-                          max_instr: Optional[int],
-                          runner: Callable) -> None:
+                          max_instr: Optional[int]) -> None:
         """Connection-thread body: pull shards until done or dead."""
         while not stop.is_set():
             try:
@@ -377,8 +345,8 @@ class SocketBackend(Backend):
             except queue.Empty:
                 continue
             try:
-                results.put((index, runner(conn, index, plans,
-                                           max_instr)))
+                results.put((index, conn.run_shard(index, plans,
+                                                   max_instr)))
             except (OSError, protocol.ProtocolError) as exc:
                 if attempt == 0:
                     # exactly-once retry: hand the shard back for any

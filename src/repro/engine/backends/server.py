@@ -11,21 +11,22 @@ number of clients.  Start it from the CLI —
 the socket is listening (scripts can wait for that line), then accepts
 connections until interrupted.  Each connection is handled on its own
 thread: fingerprint handshake first (mismatches are rejected before
-any shard runs), then a loop of request/reply frames — ``run`` ->
-``result`` for untraced campaign shards and ``analyze`` ->
-``analyzed`` for traced pattern analyses.
+any shard runs), then a loop of ``run`` -> ``result`` frames carrying
+plans of every kind (untraced, protected, traced).
 
-Analysis jobs need a :class:`~repro.core.FlipTracker` (golden trace,
-region model, pattern detectors); the server builds one lazily on the
-first ``analyze`` frame and keeps it for its lifetime, so the trace is
-warmed once no matter how many clients send analyses.  Built trackers
-are additionally memoized process-wide by program fingerprint: a
-server that stops and rejoins (registry restart, port move) adopts the
-previous incarnation's tracker — including its memoized recovery
-context and warm-start snapshot ladder — instead of recomputing.  Traced runs
-execute under a lock: they are pure-Python CPU-bound work where thread
-concurrency buys nothing, and serializing them keeps the shared
-tracker's lazy caches race-free.
+Recovery and analysis plans need a :class:`~repro.core.FlipTracker`
+(golden trace, region model, recovery context, pattern detectors); the
+server builds one lazily on the first such plan and keeps it for its
+lifetime, so the trace is warmed once no matter how many clients send
+them.  The tracker's golden trace, region model and instances are
+filled under a lock before any run reads them; every other lazy cache
+is a pure function of the program, so a race between connection
+threads is idempotent and all plan kinds run concurrently.  Built
+trackers are additionally memoized process-wide by program
+fingerprint: a server that stops and rejoins (registry restart, port
+move) adopts the previous incarnation's tracker — including its
+memoized recovery context and warm-start snapshot ladder — instead of
+recomputing.
 
 Tests (and embedders) use :meth:`ShardServer.start` /
 :meth:`ShardServer.stop` to run the accept loop on a background
@@ -100,7 +101,6 @@ class ShardServer:
         self.connections = 0
         self.rejected = 0
         self.shards_served = 0
-        self.analyses_served = 0
         self.heartbeats = 0
 
     # ------------------------------------------------------------ registry
@@ -197,9 +197,9 @@ class ShardServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # ------------------------------------------------------------ analyses
+    # ------------------------------------------------------------ tracker
     def _analysis_tracker(self):
-        """The server's FlipTracker, built once on first analyze.
+        """The server's FlipTracker, built once on first use.
 
         Imported lazily: :mod:`repro.core` imports the engine package,
         so a module-level import here would be circular.
@@ -233,21 +233,13 @@ class ShardServer:
         """
         op = msg.get("op")
         if op == protocol.OP_RUN:
-            # recovery-carrying plans resolve the server's tracker; the
-            # context build is a pure function of the program, so a race
-            # between connection threads is idempotent (no run lock —
-            # protected runs execute concurrently like plain runs)
+            # recovery and analysis plans resolve the server's tracker;
+            # its lazy caches are pure, so no run lock is needed
             with self._count_inflight():
                 result = protocol.execute_request(
                     self.program, msg,
                     tracker_factory=self._analysis_tracker)
             self.shards_served += 1
-            return result
-        if op == protocol.OP_ANALYZE:
-            tracker = self._analysis_tracker()
-            with self._count_inflight(), self._analysis_lock:
-                result = protocol.execute_analyze_request(tracker, msg)
-            self.analyses_served += 1
             return result
         return {"op": protocol.OP_ERROR, "code": protocol.ERR_BAD_OP,
                 "error": f"unexpected op {op!r}"}

@@ -1,7 +1,9 @@
 """Plan-result cache: in-memory map plus optional JSON-lines spill.
 
 The cache maps content-addressed plan keys (:mod:`repro.engine.keys`)
-to manifestation values (``"success"``/``"failed"``/``"crashed"``).
+to outcome strings: manifestation values (``"success"``/``"failed"``/
+``"crashed"``) for plain plans, encoded outcomes for recovery plans,
+pattern-table images for traced analysis plans.
 With a ``cache_dir`` every store is appended to
 ``<cache_dir>/plan_results.jsonl`` as it happens, which makes the file
 double as a campaign checkpoint: a killed campaign that already
@@ -71,7 +73,7 @@ def jsonl_records(path: str, start: int = 0
 
 
 class PlanCache:
-    """Content-addressed plan→manifestation store.
+    """Content-addressed plan→outcome store.
 
     Parameters
     ----------
@@ -101,7 +103,7 @@ class PlanCache:
 
     # ------------------------------------------------------------ access
     def get(self, key: str) -> Optional[str]:
-        """Manifestation value for ``key`` or ``None`` (counts hit/miss)."""
+        """Outcome string for ``key`` or ``None`` (counts hit/miss)."""
         value = self._mem.get(key)
         if value is None:
             self.misses += 1

@@ -7,12 +7,15 @@ delegate here.
 
 Where a shard *executes* is a :class:`~repro.engine.backends.Backend`
 (``local`` process pool, ``async`` event-loop fan-out, ``socket``
-remote shard servers — see :mod:`repro.engine.backends`) — and that
-holds for **both** shard operations: untraced campaign shards
-(:meth:`ExecutionEngine.run_plans`) and traced pattern analyses
-(:meth:`ExecutionEngine.analyze_plans`).  The engine keeps sole
-ownership of the :class:`PlanCache`, shard boundaries and plan-order
-assembly, so every backend inherits the determinism contract for free.
+remote shard servers — see :mod:`repro.engine.backends`) behind its one
+shard operation, :meth:`~repro.engine.backends.Backend.run_shards`.
+Every plan kind rides it: untraced campaign plans
+(:meth:`ExecutionEngine.run_plans`), protected recovery plans, and
+traced pattern analyses (:meth:`ExecutionEngine.analyze_plans`, which
+dispatches :class:`~repro.patterns.plan.AnalysisPlan` wrappers).  The
+engine keeps sole ownership of the :class:`PlanCache`, shard boundaries
+and plan-order assembly, so every backend inherits the determinism
+contract for free.
 
 Determinism: plan order — never worker arrival order — decides how
 results are assembled, shard boundaries depend only on the pending
@@ -30,6 +33,7 @@ from repro.engine.cache import PlanCache
 from repro.engine.errors import EngineError
 from repro.engine.keys import encode_plan, plan_key, program_fingerprint
 from repro.engine.progress import ProgressCallback, ProgressEvent
+from repro.patterns.plan import AnalysisPlan, decode_analysis
 from repro.vm.fault import FaultPlan
 
 __all__ = ["ExecutionEngine", "EngineError"]
@@ -119,9 +123,8 @@ class ExecutionEngine:
         self.backend = resolve_backend(backend, addresses=backend_addr,
                                        registry=registry)
         self.backend.bind(self)
-        # the local pool is the socket backend's no-server fallback
-        # (for campaigns and analyses alike), shared so its pool
-        # starts at most once per engine
+        # the local pool is the socket backend's no-server fallback,
+        # shared so its pool starts at most once per engine
         if isinstance(self.backend, LocalPoolBackend):
             self._local = self.backend
         else:
@@ -218,11 +221,15 @@ class ExecutionEngine:
         """Execute many labeled plan groups in **one** backend dispatch.
 
         ``groups`` is a sequence of ``(label, plans)`` pairs; the return
-        value is one :class:`~repro.faults.campaign.CampaignResult` per
-        group, in group order — or a :class:`~repro.recovery.outcome.
-        RecoveryResult` for a group of recovery plans (protected runs;
-        cached/shipped as encoded outcome strings, so the cache, demux
-        and alias machinery below are plan-kind agnostic).  The whole batch fans out through a
+        value is one result per group, in group order, by plan kind: a
+        :class:`~repro.faults.campaign.CampaignResult` for plain fault
+        plans, a :class:`~repro.recovery.outcome.RecoveryResult` for
+        recovery plans (protected runs), and a list of per-plan pattern
+        tables for :class:`~repro.patterns.plan.AnalysisPlan` groups
+        (traced analyses, exactly what :meth:`analyze_plan_groups`
+        returns).  Every kind is cached and shipped as one opaque
+        outcome string, so the cache, demux and alias machinery below
+        are plan-kind agnostic.  The whole batch fans out through a
         single :meth:`Backend.run_shards` call, so the async/socket
         substrates overlap shards *across* groups instead of placing a
         barrier between consecutive campaigns.
@@ -238,11 +245,64 @@ class ExecutionEngine:
         With ``use_cache=False`` cross-group aliasing is disabled
         (sequential calls would re-execute), matching legacy semantics.
         """
+        return self._dispatch_groups(groups, max_instr, on_progress,
+                                     use_cache)
+
+    # ------------------------------------------------------------ analyses
+    def analyze_plans(self, plans: Sequence[FaultPlan], *,
+                      max_instr: Optional[int] = None,
+                      on_progress: Optional[ProgressCallback] = None
+                      ) -> list[dict[str, set[str]]]:
+        """Patterns-by-region for many traced injections, in plan order.
+
+        One-group wrapper around :meth:`analyze_plan_groups` (the
+        batching seam used by :mod:`repro.api`).
+        """
+        return self.analyze_plan_groups(
+            [("analysis", plans)], max_instr=max_instr,
+            on_progress=on_progress)[0]
+
+    def analyze_plan_groups(self, groups, *,
+                            max_instr: Optional[int] = None,
+                            on_progress: Optional[ProgressCallback] = None
+                            ) -> list[list[dict[str, set[str]]]]:
+        """Traced analyses for many labeled plan groups, one dispatch.
+
+        ``groups`` is a sequence of ``(label, plans)`` pairs of plain
+        fault plans; returns one list of per-plan pattern tables per
+        group, in group order.  Each plan runs as an
+        :class:`~repro.patterns.plan.AnalysisPlan` through the same
+        demux loop, backend call and wire frames as campaigns, so a
+        pattern table — a pure function of the plan (determinism
+        contract) — is cache-served, spilled and resumable like any
+        outcome, and duplicates are analyzed once and aliased across
+        the whole batch.  Each traced run's manifestation is also
+        cached under the plain plan key when ``max_instr`` is given,
+        so a later untraced campaign over the same plans is free.
+        Progress events carry ``phase="analysis"``.
+        """
+        return self._dispatch_groups(
+            [(label, [AnalysisPlan(p) for p in plans])
+             for label, plans in groups],
+            max_instr, on_progress, use_cache=True, analysis=True)
+
+    # ------------------------------------------------------------ demux
+    def _dispatch_groups(self, groups, max_instr: Optional[int],
+                         on_progress: Optional[ProgressCallback],
+                         use_cache: bool, analysis: bool = False):
+        """The one demux loop behind every plan kind (see
+        :meth:`run_plan_groups`).  ``analysis`` marks every group as an
+        analysis group, so even an empty one reports
+        ``phase="analysis"`` and returns an empty table list."""
         from repro.faults.campaign import CampaignResult, Manifestation
         from repro.recovery.outcome import RecoveryOutcome, RecoveryResult
         from repro.recovery.plan import RecoveryPlan
         self._check_open()
         groups = [(label, list(plans)) for label, plans in groups]
+        traced = [analysis or (bool(plans)
+                               and isinstance(plans[0], AnalysisPlan))
+                  for _label, plans in groups]
+        phases = ["analysis" if t else "campaign" for t in traced]
         group_keys: list[list[str]] = []
         outcomes: list[list[Optional[str]]] = []
         # alias map: one execution per unique pending key serves every
@@ -265,16 +325,18 @@ class ExecutionEngine:
         unique, shards, group_shard_base, group_shards, shard_plans = \
             self._shard_groups(groups, owner)
 
-        if any(isinstance(p, RecoveryPlan)
-               for plans in shard_plans for p in plans):
-            # warm the recovery context before the backend (lazily)
-            # forks its pool, so children inherit it copy-on-write;
-            # late-started substrates derive the identical context
-            # themselves (pure function of the program)
+        # materialize the tracker state pending runs draw on before the
+        # backend (lazily) forks its workers, so children inherit it
+        # copy-on-write; late-started substrates derive identical state
+        # themselves (pure functions of the program)
+        kinds = {type(p) for plans in shard_plans for p in plans}
+        if AnalysisPlan in kinds:
+            self._tracker_for_analysis()
+        if RecoveryPlan in kinds:
             self._tracker_for_analysis().recovery_context()
-        if self.warm_start and any(shard_plans):
-            # same pre-fork COW warming for the golden snapshot ladder:
-            # every pending run of either plan kind can draw on it
+        if self.warm_start and kinds - {AnalysisPlan}:
+            # traced runs always start cold: only untraced kinds use the
+            # golden snapshot ladder
             self._tracker_for_analysis().warm_ladder()
 
         totals = [len(plans) for _label, plans in groups]
@@ -291,13 +353,22 @@ class ExecutionEngine:
                 for a_g, a_i in waiting[akey]:
                     outcomes[a_g][a_i] = value
                     done[a_g] += 1
+                plan = plans[i]
                 self.cache.put(group_keys[g_i][i], value,
-                               meta={"plan": encode_plan(plans[i]),
+                               meta={"plan": encode_plan(plan),
                                      "label": label})
+                if isinstance(plan, AnalysisPlan) and max_instr is not None:
+                    # by-product: the traced run's manifestation under
+                    # the plain key warms a later untraced campaign
+                    self.cache.put(
+                        plan_key(self.program_fp, plan.fault, max_instr),
+                        decode_analysis(value)[0],
+                        meta={"plan": encode_plan(plan.fault),
+                              "label": "analysis"})
             self.executed += len(indices)
             if on_progress is not None:
                 on_progress(ProgressEvent(
-                    label=label, phase="campaign", done=done[g_i],
+                    label=label, phase=phases[g_i], done=done[g_i],
                     total=totals[g_i], cached=cached[g_i],
                     shard=s_i - group_shard_base[g_i] + 1,
                     shards=group_shards[g_i]))
@@ -305,13 +376,18 @@ class ExecutionEngine:
             for g_i, (label, _plans) in enumerate(groups):
                 if group_shards[g_i] == 0:
                     on_progress(ProgressEvent(
-                        label=label, phase="campaign", done=totals[g_i],
+                        label=label, phase=phases[g_i], done=totals[g_i],
                         total=totals[g_i], cached=cached[g_i],
                         shard=0, shards=0))
         self.cache.flush()
 
         results = []
         for g_i, (label, plans) in enumerate(groups):
+            if traced[g_i]:
+                # decoded per position: every alias gets fresh sets
+                results.append([decode_analysis(value)[1]
+                                for value in outcomes[g_i]])
+                continue
             if plans and isinstance(plans[0], RecoveryPlan):
                 result = RecoveryResult(label=label)
                 for value in outcomes[g_i]:
@@ -329,7 +405,7 @@ class ExecutionEngine:
         return results
 
     def _shard_groups(self, groups, owner):
-        """Shared batch layout for both plan-group demux loops.
+        """Batch layout for :meth:`_dispatch_groups`.
 
         ``owner`` maps each alias key to its first pending position
         ``(group, index)``.  Each group's owned positions are sharded
@@ -356,118 +432,11 @@ class ExecutionEngine:
                        for g_i, indices in shards]
         return unique, shards, group_shard_base, group_shards, shard_plans
 
-    # ------------------------------------------------------------ analyses
-    def analyze_plans(self, plans: Sequence[FaultPlan], *,
-                      max_instr: Optional[int] = None,
-                      on_progress: Optional[ProgressCallback] = None
-                      ) -> list[dict[str, set[str]]]:
-        """Patterns-by-region for many traced injections, in plan order.
-
-        Dispatches sharded analysis plans through ``self.backend``
-        exactly like :meth:`run_plans` — the local pool runs them on
-        fork children sharing the tracker's golden trace copy-on-write,
-        the ``async`` backend fans them out to its forked protocol
-        workers, and the ``socket`` backend ships them to shard servers
-        as ``ANALYZE`` frames (same handshake, per-shard retry,
-        failover and local fallback as campaigns; see
-        ``docs/protocol.md``).  Duplicate plans are analyzed once and
-        aliased.  The manifestation of each traced run is cached as a
-        by-product when ``max_instr`` is provided, so a later untraced
-        campaign over the same plans is free.  Unlike campaigns, the
-        pattern tables themselves are not cache-served: every call
-        re-analyzes (deterministically).
-
-        One-group wrapper around :meth:`analyze_plan_groups` (the
-        batching seam used by :mod:`repro.api`).
-        """
-        return self.analyze_plan_groups(
-            [("analysis", plans)], max_instr=max_instr,
-            on_progress=on_progress)[0]
-
-    def analyze_plan_groups(self, groups, *,
-                            max_instr: Optional[int] = None,
-                            on_progress: Optional[ProgressCallback] = None
-                            ) -> list[list[dict[str, set[str]]]]:
-        """Traced analyses for many labeled plan groups, one dispatch.
-
-        ``groups`` is a sequence of ``(label, plans)`` pairs; returns
-        one list of per-plan pattern tables per group, in group order.
-        All groups' shards ship through a single
-        :meth:`Backend.analyze_shards` call.  Duplicate plans are
-        analyzed once and aliased across the whole batch — a pattern
-        table is a pure function of the plan (determinism contract),
-        so aliasing never changes a group's result, only the number of
-        traced runs performed.
-        """
-        self._check_open()
-        groups = [(label, list(plans)) for label, plans in groups]
-        # the tracker must exist before dispatch so fork-based backends
-        # can warm it and let children inherit the golden trace
-        self._tracker_for_analysis()
-        group_keys: list[list[str]] = []
-        results: list[list[Optional[dict[str, set[str]]]]] = []
-        # one traced run per unique key; duplicates are aliased
-        waiting: dict[str, list[tuple[int, int]]] = {}
-        owner: dict[str, tuple[int, int]] = {}
-        for g_i, (_label, plans) in enumerate(groups):
-            keys = [plan_key(self.program_fp, p, max_instr) for p in plans]
-            group_keys.append(keys)
-            results.append([None] * len(plans))
-            for i, key in enumerate(keys):
-                waiting.setdefault(key, []).append((g_i, i))
-                owner.setdefault(key, (g_i, i))
-
-        unique, shards, group_shard_base, group_shards, shard_plans = \
-            self._shard_groups(groups, owner)
-
-        totals = [len(plans) for _label, plans in groups]
-        done = [0] * len(groups)
-        for s_i, pairs in self.backend.analyze_shards(shard_plans,
-                                                      max_instr):
-            g_i, indices = shards[s_i]
-            label, plans = groups[g_i]
-            for i, (value, patterns) in zip(indices, pairs):
-                for a_g, a_i in waiting[group_keys[g_i][i]]:
-                    # fresh sets per alias: callers may mutate them
-                    results[a_g][a_i] = {region: set(pats)
-                                         for region, pats
-                                         in patterns.items()}
-                    done[a_g] += 1
-                self._cache_manifestation(plans[i], value, max_instr)
-            self.executed += len(indices)
-            self._emit_analysis_progress(on_progress, done[g_i],
-                                         totals[g_i],
-                                         s_i - group_shard_base[g_i] + 1,
-                                         group_shards[g_i], label=label)
-        for g_i, (label, _plans) in enumerate(groups):
-            if group_shards[g_i] == 0:
-                self._emit_analysis_progress(on_progress, totals[g_i],
-                                             totals[g_i], 0, 0,
-                                             label=label)
-        self.cache.flush()
-        return results  # type: ignore[return-value]
-
     def _tracker_for_analysis(self):
         if self._tracker is None:
             from repro.core.fliptracker import FlipTracker
             self._tracker = FlipTracker(self.program, workers=1)
         return self._tracker
-
-    def _cache_manifestation(self, plan: FaultPlan, value: str,
-                             max_instr: Optional[int]) -> None:
-        if max_instr is not None:
-            self.cache.put(plan_key(self.program_fp, plan, max_instr),
-                           value, meta={"plan": encode_plan(plan),
-                                        "label": "analysis"})
-
-    @staticmethod
-    def _emit_analysis_progress(on_progress, done: int, total: int,
-                                shard: int, shards: int,
-                                label: str = "analysis") -> None:
-        if on_progress is not None:
-            on_progress(ProgressEvent(label=label, phase="analysis",
-                                      done=done, total=total,
-                                      shard=shard, shards=shards))
 
     # ------------------------------------------------------------ stats
     def stats(self) -> dict:

@@ -6,7 +6,9 @@ the outcome of a faulty run is folded into its key:
 * the program — named by a fingerprint of its printed IR (not just the
   registry name: two ad-hoc programs may share a name, and a rebuilt
   app with different params is a different program);
-* the :class:`~repro.vm.fault.FaultPlan` (all five fields);
+* the :class:`~repro.vm.fault.FaultPlan` (all five fields) plus the
+  plan kind: a recovery plan's protection configuration, or an
+  analysis plan's ``analysis`` marker;
 * the instruction budget (``max_instr``), which decides whether a
   looping run is classified as a hang/crash.
 
@@ -21,6 +23,7 @@ import hashlib
 import json
 from typing import Mapping, Optional
 
+from repro.patterns.plan import AnalysisPlan
 from repro.vm.fault import FaultPlan
 
 #: bump when the key encoding changes; stale spill files are ignored
@@ -36,14 +39,20 @@ def encode_plan(plan) -> dict:
     """Canonical JSON-safe dict image of a plan (cache/spill encoding).
 
     Recovery plans (:class:`~repro.recovery.plan.RecoveryPlan`) encode
-    as their wrapped fault plus a ``recovery`` sub-dict — the extra
-    field makes their keys disjoint from plain campaign keys without a
-    KEY_VERSION bump (plain plans never carry it).
+    as their wrapped fault plus a ``recovery`` sub-dict, analysis plans
+    (:class:`~repro.patterns.plan.AnalysisPlan`) as their wrapped fault
+    plus the marker ``"analysis": true`` — the extra field makes each
+    kind's keys disjoint from plain campaign keys without a KEY_VERSION
+    bump (plain plans never carry either).
     """
     if isinstance(plan, FaultPlan):
         return {f: getattr(plan, f) for f in _PLAN_FIELDS}
     payload = {f: getattr(plan.fault, f) for f in _PLAN_FIELDS}
-    payload["recovery"] = {f: getattr(plan, f) for f in _RECOVERY_FIELDS}
+    if isinstance(plan, AnalysisPlan):
+        payload["analysis"] = True
+    else:
+        payload["recovery"] = {f: getattr(plan, f)
+                               for f in _RECOVERY_FIELDS}
     return payload
 
 
@@ -52,6 +61,8 @@ def decode_plan(payload: Mapping):
     fault = FaultPlan(trigger=payload["trigger"], mode=payload["mode"],
                       bit=payload["bit"], loc=payload.get("loc"),
                       width=payload.get("width", 64))
+    if payload.get("analysis") is True:
+        return AnalysisPlan(fault)
     recovery = payload.get("recovery")
     if recovery is None:
         return fault

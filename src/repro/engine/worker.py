@@ -7,19 +7,20 @@ One module-level state dict serves both start methods:
   when bound, the whole warmed tracker with its golden trace) via
   copy-on-write, so nothing large ever crosses a pipe;
 * **spawn** — :func:`init_spawn_worker` rebuilds the program from the
-  app registry inside the child; traced analyses lazily build a
-  private tracker there (one golden trace per worker, amortized over
-  the pool's lifetime).
+  app registry inside the child; recovery and analysis plans lazily
+  build a private tracker there (one golden trace per worker,
+  amortized over the pool's lifetime).
 
 Task payloads carry explicit indices so the engine can reassemble
 results in plan order no matter the arrival order — the root of the
 workers=1 vs workers=N determinism guarantee.
 
-These tasks serve the :class:`~repro.engine.backends.local.
-LocalPoolBackend`; protocol workers (async backend children, shard
-servers) execute the equivalent request bodies in
-:mod:`repro.engine.backends.protocol` instead — both sort pattern
-sets into lists so the two paths produce byte-identical tables.
+:func:`run_plans_task` serves the :class:`~repro.engine.backends.
+local.LocalPoolBackend`; protocol workers (async backend children,
+shard servers) execute the equivalent ``run`` request body in
+:mod:`repro.engine.backends.protocol` instead — both call
+:func:`~repro.faults.campaign.execute_plan`, so the two paths produce
+byte-identical outcome strings for every plan kind.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ def _tracker():
 def run_plans_task(task: tuple[int, Optional[int], str, object,
                                Sequence[FaultPlan]]
                    ) -> tuple[int, list[str]]:
-    """Execute one chunk of untraced faulty runs -> outcome values.
+    """Execute one chunk of plans of any kind -> outcome values.
 
     The engine's resolved execution tier and warm-start setting ride in
     the payload so pool workers never depend on environment inheritance
-    for an *explicit* engine option.  Recovery plans resolve this
-    worker's tracker (fork children inherit the parent's warmed
-    recovery context and snapshot ladder via copy-on-write; spawn
-    workers derive their own, identical ones).
+    for an *explicit* engine option.  Recovery and analysis plans
+    resolve this worker's tracker (fork children inherit the parent's
+    warmed golden trace, recovery context and snapshot ladder via
+    copy-on-write; spawn workers derive their own, identical ones).
     """
     from repro.faults.campaign import execute_plan
     index, max_instr, exec_tier, warm_start, plans = task
@@ -80,18 +81,3 @@ def run_plans_task(task: tuple[int, Optional[int], str, object,
                                 tracker_factory=_tracker,
                                 warm_start=warm_start)
                    for plan in plans]
-
-
-def analyze_task(task: tuple[int, FaultPlan]
-                 ) -> tuple[int, str, dict[str, list[str]]]:
-    """One traced analysis -> (index, manifestation, patterns-by-region).
-
-    The result travels in the canonical
-    :func:`~repro.engine.backends.protocol.encode_analysis` image
-    (pattern sets as sorted lists) — one encoder for the pool and the
-    wire paths, so cross-backend byte-parity cannot drift.
-    """
-    from repro.engine.backends.protocol import encode_analysis
-    index, plan = task
-    encoded = encode_analysis(_tracker().analyze_injection(plan))
-    return index, encoded["m"], encoded["patterns"]

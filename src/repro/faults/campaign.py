@@ -26,6 +26,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from repro.apps.base import Program
+from repro.patterns.plan import AnalysisPlan, encode_analysis
 from repro.vm.errors import VMError
 from repro.vm.fault import FaultPlan
 from repro.warmstart import resolve_warmstart, warm_start_interp
@@ -172,16 +173,20 @@ def execute_plan(program: Program, plan,
                  exec_tier: Optional[str] = None,
                  tracker_factory=None,
                  warm_start=None) -> str:
-    """Execute one plan of either kind, returning its cache/wire value.
+    """Execute one plan of any kind, returning its cache/wire value.
 
     Plain :class:`~repro.vm.fault.FaultPlan` runs are classified and
     the manifestation's string value returned (the engine's historical
-    outcome encoding).  Recovery plans (:mod:`repro.recovery`) need a
-    tracker — the session consumes the golden-trace recovery context —
-    so executors that can serve them pass a ``tracker_factory``
-    returning their per-process :class:`~repro.core.FlipTracker`; the
-    returned value is the encoded
-    :class:`~repro.recovery.outcome.RecoveryOutcome`.
+    outcome encoding).  Recovery plans (:mod:`repro.recovery`) and
+    analysis plans (:class:`~repro.patterns.plan.AnalysisPlan`) need a
+    tracker — a protected session consumes the golden-trace recovery
+    context, a traced analysis the golden trace and region model — so
+    executors that can serve them pass a ``tracker_factory`` returning
+    their per-process :class:`~repro.core.FlipTracker`.  The returned
+    value is the encoded :class:`~repro.recovery.outcome.
+    RecoveryOutcome`, or the :func:`~repro.patterns.plan.
+    encode_analysis` image of the traced run (which uses the tracker's
+    own faulty-run budget; ``max_instr`` only keys its cache entry).
 
     ``warm_start`` (``None`` defers to ``REPRO_WARMSTART``, default on)
     sources the golden snapshot ladder from the tracker: FaultPlans
@@ -197,6 +202,9 @@ def execute_plan(program: Program, plan,
     if tracker_factory is None:
         raise TypeError(
             f"plan {plan!r} needs a tracker_factory-capable executor")
+    if isinstance(plan, AnalysisPlan):
+        return encode_analysis(tracker_factory().analyze_injection(
+            plan.fault))
     from repro.recovery.run import run_recovery_plan
     return run_recovery_plan(tracker_factory(), plan,
                              max_instr=max_instr, exec_tier=exec_tier,

@@ -3,7 +3,7 @@
 The acceptance contract of the declarative layer (docs/experiments.md):
 
 * an ``Experiment`` covering a multi-region Fig. 5-style grid executes
-  as a **single** batched ``run_plans`` dispatch per injection kind
+  as a **single** batched ``run_shards`` dispatch per injection kind
   (counted at the backend seam), and
 * its per-spec ``CampaignResult``s / pattern tables are byte-identical
   to the equivalent sequence of legacy one-target calls
@@ -32,16 +32,11 @@ class CountingBackend(LocalPoolBackend):
 
     def __init__(self):
         super().__init__()
-        self.run_dispatches = 0
-        self.analyze_dispatches = 0
+        self.dispatches = 0
 
     def run_shards(self, shards, max_instr):
-        self.run_dispatches += 1
+        self.dispatches += 1
         return super().run_shards(shards, max_instr)
-
-    def analyze_shards(self, shards, max_instr):
-        self.analyze_dispatches += 1
-        return super().analyze_shards(shards, max_instr)
 
 
 def fresh_tracker(app: str, backend=None) -> FlipTracker:
@@ -85,9 +80,9 @@ class TestSpecLegacyParity:
                                 tracker_factory=lambda _app: spec_ft)
         spec_ft.close()
 
-        # --- single batched dispatch per kind (the whole grid) -------
-        assert backend.run_dispatches == len(kinds)
-        assert backend.analyze_dispatches == 1
+        # --- single batched dispatch per kind (the whole grid), plus
+        # one for the analysis spec ---------------------------------
+        assert backend.dispatches == len(kinds) + 1
 
         # --- byte-identical to the equivalent legacy sequence --------
         # (grouped by kind in first-appearance order, spec order within

@@ -4,7 +4,8 @@ The byte-parity of all backends against the sequential engine lives in
 ``tests/test_determinism.py``; this file covers everything that can go
 *wrong* at the seam:
 
-* shard-protocol framing (roundtrip, torn frames, oversized frames);
+* shard-protocol framing (roundtrip, torn frames, oversized frames,
+  undecodable bodies on the blocking and asyncio readers alike);
 * ``SocketBackend`` failure paths — connection refused falls back to
   the local pool with a warning, a mid-shard disconnect retries the
   shard exactly once, a second failure is fatal, and a
@@ -14,6 +15,8 @@ The byte-parity of all backends against the sequential engine lives in
   promptly instead of hanging on the pool join.
 """
 
+import asyncio
+import json
 import os
 import socket
 import threading
@@ -29,6 +32,7 @@ from repro.engine.backends import (AsyncBackend, ShardServer,
                                    SocketBackend, parse_addresses,
                                    resolve_backend)
 from repro.engine.backends import protocol
+from repro.patterns.plan import AnalysisPlan
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="worker processes need fork here")
@@ -75,6 +79,28 @@ class TestProtocol:
             protocol.recv_msg(b)
         a.close()
         b.close()
+
+    @pytest.mark.parametrize("body", (b"\xff\xfe", b"{not json",
+                                      b"[1, 2]"),
+                             ids=("utf8", "json", "not-object"))
+    def test_bad_frame_body_raises_protocol_error(self, body):
+        """recv_msg and async_recv share one body decoder: an
+        undecodable frame is a ProtocolError on both, never a raw
+        UnicodeDecodeError/JSONDecodeError."""
+        frame = len(body).to_bytes(4, "big") + body
+        a, b = socket.socketpair()
+        a.sendall(frame + frame)
+        with pytest.raises(protocol.ProtocolError, match="frame"):
+            protocol.recv_msg(b)
+        b.setblocking(False)
+        loop = asyncio.new_event_loop()
+        try:
+            with pytest.raises(protocol.ProtocolError, match="frame"):
+                loop.run_until_complete(protocol.async_recv(loop, b))
+        finally:
+            loop.close()
+            a.close()
+            b.close()
 
     def test_execute_request_reports_errors_in_band(self):
         reply = protocol.execute_request(tiny_program(),
@@ -169,8 +195,8 @@ class TestSocketBackend:
 # --------------------------------------------------------- socket failure
 class DroppingServer(ShardServer):
     """Shard server that abruptly drops the first ``drop_first``
-    requests (``run`` and ``analyze`` alike) mid-shard, accepting
-    reconnects afterwards."""
+    ``run`` requests (any plan kind) mid-shard, accepting reconnects
+    afterwards."""
 
     def __init__(self, program, drop_first: int):
         super().__init__(program, port=0)
@@ -195,7 +221,7 @@ class DroppingServer(ShardServer):
                         self._drop_remaining -= 1
                 if drop:
                     return  # vanish mid-shard, no reply
-                # the real op dispatch (run/analyze), counters included
+                # the real op dispatch, counters included
                 protocol.send_msg(conn, self._dispatch(msg))
         except (OSError, protocol.ProtocolError):
             pass
@@ -236,37 +262,66 @@ class TestSocketRetry:
                 eng.close()
 
 
-# ----------------------------------------------------------- ANALYZE op
+# ------------------------------------------------------ traced analyses
 def sequential_analyses(plans):
     """Reference traced results on a fresh sequential tracker."""
     with FlipTracker(tiny_program(), seed=9) as ft:
         return ft._analyze_many(plans)
 
 
+def analysis_request(shard, plans):
+    """A ``run`` frame carrying analysis plans (v5 ``analysis`` marker)."""
+    return protocol.run_request(shard, [AnalysisPlan(p) for p in plans],
+                                None)
+
+
+class RogueServer(ShardServer):
+    """Passes the handshake, then answers every ``run`` frame with
+    null values — a structurally malformed ``result`` reply."""
+
+    def _dispatch(self, msg):
+        if msg.get("op") == "run":
+            return {"op": "result", "shard": msg["shard"],
+                    "values": [None] * len(msg["plans"])}
+        return super()._dispatch(msg)
+
+
 class TestAnalyzeOp:
-    """Failure paths and happy paths of the ANALYZE shard operation."""
+    """Traced analyses as plans on the one ``run`` path: happy and
+    failure paths."""
 
     def test_protocol_roundtrip_is_sorted_lists(self):
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)
         plans = ft.make_plans(loop_instance(ft), "internal", 2)
-        from repro.engine.keys import encode_plan
-        reply = protocol.execute_analyze_request(
-            ft, {"op": "analyze", "shard": 5,
-                 "plans": [encode_plan(p) for p in plans]})
-        assert reply["op"] == "analyzed" and reply["shard"] == 5
-        assert len(reply["results"]) == 2
-        for result in reply["results"]:
-            assert isinstance(result["m"], str)
-            for pats in result["patterns"].values():
+        request = analysis_request(5, plans)
+        assert all(p["analysis"] is True for p in request["plans"])
+        reply = protocol.execute_request(prog, request,
+                                         tracker_factory=lambda: ft)
+        assert reply["op"] == "result" and reply["shard"] == 5
+        assert len(reply["values"]) == 2
+        for value in reply["values"]:
+            image = json.loads(value)
+            # compact sorted-key JSON: the canonical outcome string
+            assert value == json.dumps(image, sort_keys=True,
+                                       separators=(",", ":"))
+            assert isinstance(image["m"], str)
+            for pats in image["patterns"].values():
                 assert pats == sorted(pats)  # canonical wire image
 
     def test_execute_analyze_reports_errors_in_band(self):
         ft = FlipTracker(tiny_program(), seed=9)
-        reply = protocol.execute_analyze_request(
-            ft, {"op": "analyze", "shard": 2, "plans": [{"bogus": 1}]})
-        assert reply["op"] == "error" and reply["shard"] == 2
-        assert reply["code"] == protocol.ERR_EXEC
+        plans = ft.make_plans(loop_instance(ft), "internal", 1)
+        bogus = protocol.execute_request(
+            tiny_program(), {"op": "run", "shard": 2,
+                             "plans": [{"bogus": 1}]},
+            tracker_factory=lambda: ft)
+        # a worker without a tracker must refuse, not run the bare fault
+        untracked = protocol.execute_request(tiny_program(),
+                                             analysis_request(3, plans))
+        for reply, shard in ((bogus, 2), (untracked, 3)):
+            assert reply["op"] == "error" and reply["shard"] == shard
+            assert reply["code"] == protocol.ERR_EXEC
 
     def test_socket_analyze_end_to_end(self):
         prog = tiny_program()
@@ -283,8 +338,8 @@ class TestAnalyzeOp:
                                        ft.faulty_budget) for p in plans})
                 results = eng.analyze_plans(plans,
                                             max_instr=ft.faulty_budget)
-            # one ANALYZE frame per shard of unique plans
-            assert srv.analyses_served == -(-unique // 2)
+            # one run frame per shard of unique plans
+            assert srv.shards_served == -(-unique // 2)
         assert results == baseline
 
     def test_analyze_server_fallback_when_unreachable(self):
@@ -311,7 +366,7 @@ class TestAnalyzeOp:
                 with ExecutionEngine(tiny_program(),
                                      backend=backend) as eng:
                     eng.analyze_plans(plans, max_instr=ft.faulty_budget)
-            assert srv.rejected == 1 and srv.analyses_served == 0
+            assert srv.rejected == 1 and srv.shards_served == 0
 
     def test_analyze_mid_shard_drop_retries_once(self):
         prog = tiny_program()
@@ -326,36 +381,32 @@ class TestAnalyzeOp:
                 results = eng.analyze_plans(plans,
                                             max_instr=ft.faulty_budget)
             # the dropped shard was re-sent once; every shard answered
-            assert srv.run_requests == srv.analyses_served + 1
+            assert srv.run_requests == srv.shards_served + 1
         assert results == baseline
 
     @needs_fork
     def test_analyze_dead_pool_worker_fails_shard(self, monkeypatch):
-        """A pool worker dying mid-ANALYZE must fail the shard with its
+        """A pool worker dying mid-analysis must fail the shard with its
         index (and close() must report it), like the campaign path."""
         import repro.engine.worker as worker_mod
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)
         plans = ft.make_plans(loop_instance(ft), "internal", 8)
         eng = ExecutionEngine(tiny_program(), workers=2, min_parallel=1)
-        monkeypatch.setattr(worker_mod, "analyze_task", _exit_worker)
+        monkeypatch.setattr(worker_mod, "run_plans_task", _exit_worker)
         with pytest.raises(EngineError, match="shard 0"):
             eng.analyze_plans(plans, max_instr=ft.faulty_budget)
         assert eng.backend.failed_shard == 0
         with pytest.raises(EngineError, match="shard 0 failed"):
             eng.close()
 
-    def test_malformed_analyzed_reply_fails_not_hangs(self):
-        """A rogue server passing the handshake but replying null
-        results must fail the shard through the retry machinery — a
-        bounded EngineError, never a dead thread and a hung engine."""
-        class RogueServer(ShardServer):
-            def _dispatch(self, msg):
-                if msg.get("op") == "analyze":
-                    return {"op": "analyzed", "shard": msg["shard"],
-                            "results": [None] * len(msg["plans"])}
-                return super()._dispatch(msg)
-
+    @pytest.mark.parametrize("traced", (False, True),
+                             ids=("run", "analyze"))
+    def test_malformed_result_reply_fails_not_hangs(self, traced):
+        """A rogue server passing the handshake but replying null values
+        must fail the shard through the retry machinery — a bounded
+        EngineError, never a raw decode error after the dispatch, a
+        dead thread or a hung engine."""
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)
         plans = ft.make_plans(loop_instance(ft), "internal", 4)
@@ -363,8 +414,9 @@ class TestAnalyzeOp:
             backend = SocketBackend([("127.0.0.1", srv.port)],
                                     fallback=False)
             eng = ExecutionEngine(tiny_program(), backend=backend)
+            dispatch = eng.analyze_plans if traced else eng.run_plans
             with pytest.raises(EngineError, match="failed twice"):
-                eng.analyze_plans(plans, max_instr=ft.faulty_budget)
+                dispatch(plans, max_instr=ft.faulty_budget)
             with pytest.raises(EngineError, match="failed"):
                 eng.close()
 
@@ -388,12 +440,16 @@ class TestAnalyzeOp:
             results = eng.analyze_plans([plan, plan, plan],
                                         max_instr=ft.faulty_budget)
             assert eng.executed == before + 1  # aliased, one traced run
-        assert results[0] == results[1] == results[2]
+            # a repeat is cache-served, with fresh sets again
+            again = eng.analyze_plans([plan], max_instr=ft.faulty_budget)
+            assert eng.executed == before + 1
+        assert results[0] == results[1] == results[2] == again[0]
         # aliases carry fresh sets: mutating one must not leak
         for pats in results[0].values():
             pats.add("MUTATED")
         assert all("MUTATED" not in pats
-                   for pats in results[1].values())
+                   for table in (results[1], results[2], again[0])
+                   for pats in table.values())
 
 
 # --------------------------------------------------------- handshake v2
@@ -537,7 +593,7 @@ class TestCliBackendFlag:
             assert srv.shards_served >= 1
 
     def test_patterns_over_socket_backend(self, capsys):
-        """The Table I sweep ships ANALYZE shards to the shard server."""
+        """The Table I sweep ships traced shards to the shard server."""
         from repro.cli import main
         with ShardServer(REGISTRY.build("kmeans"), port=0).start() as srv:
             code = main(["--seed", "3", "--backend", "socket",
@@ -546,7 +602,7 @@ class TestCliBackendFlag:
                          "--loop-only"])
             out = capsys.readouterr().out
             assert code == 0 and "resilience patterns" in out
-            assert srv.analyses_served >= 1
+            assert srv.shards_served >= 1
 
     def test_serve_parser_accepts_host_port(self):
         from repro.cli import build_parser

@@ -7,9 +7,10 @@ while performing **zero** new faulty runs.  Checked across three
 studied apps (cg, kmeans, lulesh) for ``region_campaign`` and on
 kmeans for the traced ``region_patterns`` sweep (cg/lulesh pattern
 sweeps take minutes; the campaign path exercises the identical
-pool/shard machinery for them).  Traced analyses ride the same backend
-seam since PR 3, so ``TestAnalysisBackendParity`` locks their
-byte-parity across backends too.
+pool/shard machinery for them).  Traced analyses are plans on the same
+``run`` path as campaigns, so ``TestAnalysisBackendParity`` locks their
+byte-parity across backends too, and the cache-resume tests check that
+spilled pattern tables resume like any outcome.
 
 The backend-parity classes run for every backend named in
 ``REPRO_PARITY_BACKENDS`` (comma-separated; default
@@ -152,18 +153,27 @@ class TestBackendParity:
                              cache_dir=cache_dir) as fresh:
                 region = first_loop_region(fresh)
                 r_fresh = fresh.region_campaign(region, "internal", n=N)
+                traced = fresh.make_plans(fresh.instance_of(region),
+                                          "input", 2)
+                t_fresh = fresh._analyze_many(traced)
+                t_executed = fresh.engine.executed
         finally:
             if server is not None:
                 server.stop()
         # resume on the plain local engine: the spill written by any
-        # backend must serve any other backend
+        # backend must serve any other backend — pattern tables too
         with FlipTracker(REGISTRY.build(app), seed=SEED, workers=1,
                          cache_dir=cache_dir) as resumed:
             r_resumed = resumed.region_campaign(region, "internal", n=N)
+            t_resumed = resumed._analyze_many(traced)
+            assert resumed.engine.executed == 0  # zero new faulty runs
         assert outcome_bytes(r_fresh) == outcome_bytes(r_resumed)
         assert r_fresh.executed > 0
-        assert r_resumed.executed == 0  # zero new faulty runs
+        assert r_resumed.executed == 0
         assert r_resumed.cached == N
+        assert t_executed > r_fresh.executed  # the traced runs happened
+        assert [patterns_bytes(t) for t in t_fresh] == \
+            [patterns_bytes(t) for t in t_resumed]
 
 
 #: sequential (workers=1, local) kmeans traced-sweep baseline bytes
@@ -183,8 +193,8 @@ def patterns_baseline() -> bytes:
 class TestAnalysisBackendParity:
     """Traced analyses are byte-identical across every backend.
 
-    ``region_patterns`` dispatches ``ANALYZE`` shards through the
-    engine's backend (pattern tables travel as sorted lists — see
+    ``region_patterns`` dispatches analysis plans through the engine's
+    backend (pattern tables travel as sorted lists — see
     ``docs/protocol.md``); ``shard_size=2`` forces several analysis
     shards so out-of-order completion + in-order reassembly is
     exercised, exactly as in the campaign parity class.

@@ -17,6 +17,8 @@ from repro.faults.campaign import (CheckerError, Manifestation,
 from repro.faults.sites import NoFaultSitesError
 from repro.frontend import ProgramBuilder
 from repro.ir.types import F64, I64
+from repro.patterns.plan import AnalysisPlan
+from repro.recovery import RecoveryPlan
 from repro.vm.fault import FaultPlan
 
 
@@ -281,9 +283,13 @@ class TestPersistentPool:
 
     def test_analysis_caches_manifestations(self):
         """A traced analysis warms the cache for an untraced campaign."""
-        ft = FlipTracker(tiny_program(), seed=9)
+        ft = FlipTracker(tiny_program(), seed=9, warm_start="on")
         plans = ft.make_plans(loop_instance(ft), "internal", 3)
         ft._analyze_many(plans)
+        # traced runs start cold and unprotected: an analysis-only
+        # dispatch builds neither the snapshot ladder nor the recovery
+        # context
+        assert ft._warm_ladder is None and ft._recovery_ctx is None
         r = ft.engine.run_plans(plans, max_instr=ft.faulty_budget)
         assert r.details["executed"] == 0 and r.details["cached"] == 3
         ft.close()
@@ -530,6 +536,38 @@ class TestPlanGroupBatches:
         assert batched == sequential
         # duplicates across groups were analyzed once in the batch
         assert executed_after_batch == 3
+
+    def test_mixed_kind_batch_equals_separate_calls(self):
+        """Plain, recovery and analysis groups in one dispatch equal
+        three separate calls — results, accounting and cache alike."""
+        groups = [("plain", self.internal),
+                  ("recover", [RecoveryPlan(fault=p)
+                               for p in self.inputs]),
+                  ("traced", [AnalysisPlan(p) for p in self.internal])]
+
+        def run(batches):
+            ft = FlipTracker(self.prog, seed=9)
+            events = []
+            results = [r for batch in batches
+                       for r in ft.engine.run_plan_groups(
+                           batch, max_instr=self.budget,
+                           on_progress=events.append)]
+            accounting = (ft.engine.executed, len(ft.engine.cache),
+                          [(e.label, e.phase, e.done, e.cached)
+                           for e in events])
+            ft.close()
+            return results, accounting
+
+        batched, batched_acc = run([groups])
+        separate, separate_acc = run([[group] for group in groups])
+        assert batched == separate  # details compare too
+        assert batched_acc == separate_acc
+        assert {phase for _l, phase, _d, _c in batched_acc[2]} == \
+            {"campaign", "analysis"}
+        # the traced group is what analyze_plans returns
+        with FlipTracker(self.prog, seed=9) as ft:
+            assert batched[2] == ft.engine.analyze_plans(
+                self.internal, max_instr=self.budget)
 
     def test_empty_groups(self):
         with ExecutionEngine(self.prog) as eng:
