@@ -9,8 +9,8 @@ kmeans for the traced ``region_patterns`` sweep (cg/lulesh pattern
 sweeps take minutes; the campaign path exercises the identical
 pool/shard machinery for them).  Traced analyses are plans on the same
 ``run`` path as campaigns, so ``TestAnalysisBackendParity`` locks their
-byte-parity across backends too, and the cache-resume tests check that
-spilled pattern tables resume like any outcome.
+byte-parity across backends too, and the kmeans cache-resume tests
+check that spilled pattern tables resume like any outcome.
 
 The backend-parity classes run for every backend named in
 ``REPRO_PARITY_BACKENDS`` (comma-separated; default
@@ -33,6 +33,8 @@ from repro.engine.backends import AsyncBackend, ShardServer, SocketBackend
 from repro.recovery import RecoveryPlan
 
 APPS = ("cg", "kmeans", "lulesh")
+#: apps whose cache-resume case also spills and resumes pattern tables
+TRACED_APPS = ("kmeans",)
 SEED = 20181111
 N = 8
 
@@ -153,8 +155,11 @@ class TestBackendParity:
                              cache_dir=cache_dir) as fresh:
                 region = first_loop_region(fresh)
                 r_fresh = fresh.region_campaign(region, "internal", n=N)
-                traced = fresh.make_plans(fresh.instance_of(region),
-                                          "input", 2)
+                # traced runs on kmeans only: on cg/lulesh each takes
+                # seconds and pins a server-side tracker for the session
+                traced = (fresh.make_plans(fresh.instance_of(region),
+                                           "input", 2)
+                          if app in TRACED_APPS else [])
                 t_fresh = fresh._analyze_many(traced)
                 t_executed = fresh.engine.executed
         finally:
@@ -171,7 +176,8 @@ class TestBackendParity:
         assert r_fresh.executed > 0
         assert r_resumed.executed == 0
         assert r_resumed.cached == N
-        assert t_executed > r_fresh.executed  # the traced runs happened
+        if traced:
+            assert t_executed > r_fresh.executed  # the traced runs happened
         assert [patterns_bytes(t) for t in t_fresh] == \
             [patterns_bytes(t) for t in t_resumed]
 
